@@ -83,10 +83,10 @@ func TestAuxSetWholeExpiry(t *testing.T) {
 
 // TestVehPeersExcludedFromCandidates pins the fleet rule at the
 // selection layer: a vehicle peer is never anchor nor auxiliary, even
-// when it is the loudest peer in the table, in both the dense and the
-// sparse address regimes.
+// when it is the loudest peer in the table, for a small and a large
+// vehicle address alike.
 func TestVehPeersExcludedFromCandidates(t *testing.T) {
-	for _, vehAddr := range []uint16{7, maxDenseID + 9} {
+	for _, vehAddr := range []uint16{7, 2057} {
 		n := newBareVehicle(0)
 		t0 := time.Second
 		n.probs.ObserveLocal(vehAddr, n.addr, 1.0, t0) // loudest peer is a vehicle

@@ -19,10 +19,9 @@ type DeliverFunc func(id frame.PacketID, payload []byte, from uint16)
 
 // vehState is a basestation's view of one vehicle, learned from its
 // beacons (§4.3: "Beacons enable all nearby BSes to learn the current
-// anchor and the set of auxiliary BSes"). States live by value in a dense
-// ID-indexed slice; known marks populated entries.
+// anchor and the set of auxiliary BSes"). Each known vehicle has one
+// state, created on its first beacon and keyed by its address.
 type vehState struct {
-	known      bool
 	amAnchor   bool // this BS believes it is the vehicle's anchor
 	anchor     uint16
 	prevAnchor uint16
@@ -145,17 +144,13 @@ type Node struct {
 	auxList    []uint16
 	// vehPeers marks addresses whose beacons carry FromVehicle: in fleet
 	// deployments a vehicle hears other vehicles loud and clear, but only
-	// basestations may serve as anchor or auxiliary (§4.3). Dense by
-	// address up to maxDenseID, grown on demand; vehPeersHi backs larger
-	// addresses so the dense bound is a layout choice, not a limit.
-	vehPeers   []bool
-	vehPeersHi map[uint16]bool
+	// basestations may serve as anchor or auxiliary (§4.3). Only the
+	// vehicles actually heard are stored.
+	vehPeers map[uint16]struct{}
 
-	// Basestation state: vehs is dense by vehicle address (vehsHi backs
-	// addresses beyond the dense bound, mirroring ProbTable's sparse
-	// fallback); pending is the auxiliary's overheard-packet list.
-	vehs    []vehState
-	vehsHi  map[uint16]*vehState
+	// Basestation state: vehs holds the state of each vehicle heard, by
+	// address; pending is the auxiliary's overheard-packet list.
+	vehs    map[uint16]*vehState
 	pending []pendEntry
 	// relayScratch is relayTick's reusable index buffer (sorted there for
 	// deterministic relay decisions).
@@ -241,41 +236,18 @@ func (n *Node) MAC() *mac.MAC { return n.mac }
 // Probs exposes the node's probability table (diagnostics).
 func (n *Node) Probs() *ProbTable { return n.probs }
 
-// lookupVeh returns the state for a vehicle, nil when unknown. The
-// pointer is valid until the next ensureVeh call.
-func (n *Node) lookupVeh(veh uint16) *vehState {
-	if int(veh) >= maxDenseID {
-		return n.vehsHi[veh]
-	}
-	if int(veh) < len(n.vehs) && n.vehs[veh].known {
-		return &n.vehs[veh]
-	}
-	return nil
-}
+// lookupVeh returns the state for a vehicle, nil when unknown.
+func (n *Node) lookupVeh(veh uint16) *vehState { return n.vehs[veh] }
 
 // ensureVeh returns the state for a vehicle, creating it on first beacon.
-// Addresses beyond the dense bound live in the sparse fallback map, so
-// correctness never rests on the density assumption.
 func (n *Node) ensureVeh(veh uint16) *vehState {
-	if int(veh) >= maxDenseID {
-		vs := n.vehsHi[veh]
-		if vs == nil {
-			vs = &vehState{known: true, anchor: frame.None, prevAnchor: frame.None}
-			if n.vehsHi == nil {
-				n.vehsHi = map[uint16]*vehState{}
-			}
-			n.vehsHi[veh] = vs
+	vs := n.vehs[veh]
+	if vs == nil {
+		vs = &vehState{anchor: frame.None, prevAnchor: frame.None}
+		if n.vehs == nil {
+			n.vehs = map[uint16]*vehState{}
 		}
-		return vs
-	}
-	for len(n.vehs) <= int(veh) {
-		n.vehs = append(n.vehs, vehState{})
-	}
-	vs := &n.vehs[veh]
-	if !vs.known {
-		vs.known = true
-		vs.anchor = frame.None
-		vs.prevAnchor = frame.None
+		n.vehs[veh] = vs
 	}
 	return vs
 }
@@ -395,30 +367,21 @@ func (n *Node) handleFrame(f *frame.Frame, info radio.RxInfo) {
 	}
 }
 
-// handleBeacon ingests probability reports and vehicle designations.
 // markVehPeer remembers that an address belongs to a vehicle.
 func (n *Node) markVehPeer(addr uint16) {
-	if int(addr) >= maxDenseID {
-		if n.vehPeersHi == nil {
-			n.vehPeersHi = map[uint16]bool{}
-		}
-		n.vehPeersHi[addr] = true
-		return
+	if n.vehPeers == nil {
+		n.vehPeers = map[uint16]struct{}{}
 	}
-	for len(n.vehPeers) <= int(addr) {
-		n.vehPeers = append(n.vehPeers, false)
-	}
-	n.vehPeers[addr] = true
+	n.vehPeers[addr] = struct{}{}
 }
 
 // isVehPeer reports whether the address is a known vehicle.
 func (n *Node) isVehPeer(addr uint16) bool {
-	if int(addr) >= maxDenseID {
-		return n.vehPeersHi[addr]
-	}
-	return int(addr) < len(n.vehPeers) && n.vehPeers[addr]
+	_, ok := n.vehPeers[addr]
+	return ok
 }
 
+// handleBeacon ingests probability reports and vehicle designations.
 func (n *Node) handleBeacon(f *frame.Frame) {
 	now := n.K.Now()
 	n.counter.hear(f.Src)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/vanlan/vifi/internal/frame"
+	"github.com/vanlan/vifi/internal/sim"
 )
 
 // benchPop is the historical peer population: every one of these IDs has
@@ -70,4 +71,40 @@ func BenchmarkProbBeaconSweep10k(b *testing.B) {
 // the index exists for.
 func BenchmarkRefProbBeaconSweep10k(b *testing.B) {
 	benchBeaconSweep(b, newRefProbTable(0.5, 3*time.Second))
+}
+
+// BenchmarkProbGossipFill fills one fresh table per op with the beacon
+// gossip a basestation of a 1,250-radio city hears: benchNbrs neighbours
+// scattered over the city's address range, each reporting 16 of its own
+// links, re-heard over ten beacon intervals. B/op is the table's memory
+// for those few hundred pairs, so a layout that grows with the address
+// space rather than the observed pairs shows here first.
+func BenchmarkProbGossipFill(b *testing.B) {
+	const cityAddrs = 1300
+	type pair struct{ from, to uint16 }
+	rng := sim.NewRNG(11)
+	var pairs []pair
+	for n := 0; n < benchNbrs; n++ {
+		nbr := uint16(rng.Intn(cityAddrs))
+		for j := 0; j < 16; j++ {
+			peer := uint16(rng.Intn(cityAddrs))
+			if j%2 == 0 {
+				pairs = append(pairs, pair{peer, nbr}) // nbr's local estimate
+			} else {
+				pairs = append(pairs, pair{nbr, peer}) // gossip nbr learned
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb := NewProbTable(0.5, 3*time.Second)
+		now := time.Duration(0)
+		for r := 0; r < 10; r++ {
+			now += 100 * time.Millisecond
+			for _, p := range pairs {
+				tb.ObserveGossip(p.from, p.to, 0.5, now)
+			}
+		}
+	}
 }

@@ -9,11 +9,13 @@ import (
 	"github.com/vanlan/vifi/internal/sim"
 )
 
-// fuzzIDTable maps a selector byte onto an ID population straddling the
-// dense/sparse split, including the exact boundary values on both sides.
+// fuzzIDTable maps a selector byte onto an ID population spread over the
+// whole address space, from 0 to 65535. The list is part of the committed
+// corpus's meaning: selector bytes index it, so entries are never
+// reordered or dropped.
 var fuzzIDTable = []uint16{
-	0, 1, 2, 3, 7, 19, 100, 2046, maxDenseID - 1,
-	maxDenseID, maxDenseID + 1, maxDenseID + 5, 40000, 65000, 65535,
+	0, 1, 2, 3, 7, 19, 100, 2046, 2047,
+	2048, 2049, 2053, 40000, 65000, 65535,
 }
 
 // fuzzOpSize is the fixed byte width of one decoded operation.
@@ -33,7 +35,7 @@ const fuzzOpSize = 4
 func FuzzProbTable(f *testing.F) {
 	// Seed corpus: the property-test generator regimes, re-encoded as op
 	// streams, so the fuzzer starts from sequences known to exercise
-	// dense, sparse and mixed layouts plus expiry gaps.
+	// low, high and mixed addresses plus expiry gaps.
 	for seed := uint64(0); seed < 6; seed++ {
 		rng := sim.NewRNG(7000 + seed)
 		var ops []byte

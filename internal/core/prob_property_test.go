@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -12,8 +13,9 @@ import (
 )
 
 // refProbTable is the pre-optimization map-based ProbTable, kept verbatim
-// as the reference model: the dense implementation must be observationally
-// equivalent to it under arbitrary observe/expire/query sequences.
+// as the reference model: the incremental implementation must be
+// observationally equivalent to it under arbitrary observe/expire/query
+// sequences.
 type refEntry struct {
 	ewma    *stats.EWMA
 	gossip  float64
@@ -112,22 +114,21 @@ func (t *refProbTable) Report(self uint16, now time.Duration) []frame.ProbEntry 
 }
 
 // probIDRegimes are the ID populations the randomized trials cycle
-// through: all-dense (flat rows only), all-sparse (every pair ≥
-// maxDenseID, so the whole table lives in the slab-backed map), and
-// mixed (cross pairs land sparse whenever either end does).
+// through: small addresses only, large addresses only (up to 65535, so a
+// packed pair key uses all 32 bits), and a mix of both.
 var probIDRegimes = [][]uint16{
 	{0, 1, 2, 3, 7, 11, 19},
-	{maxDenseID, maxDenseID + 5, maxDenseID + 100, 40000, 65000, 65535},
-	{0, 1, 2, 3, 7, 11, 19, maxDenseID + 5, 65000},
+	{2048, 2053, 2148, 40000, 65000, 65535},
+	{0, 1, 2, 3, 7, 11, 19, 2053, 65000},
 }
 
 // TestProbTableMatchesMapReference drives the incremental table and the
 // map reference through identical randomized observe/expire/query
 // sequences and demands exact agreement — including EWMA float
 // arithmetic, staleness boundaries, ordering and report truncation. The
-// trials cycle through dense, sparse and mixed ID regimes so the flat
-// rows, the slab-backed sparse fallback and the cross pairs all face the
-// same sequences.
+// trials cycle through small, large and mixed ID regimes so pairs at
+// both ends of the address space, and the cross pairs, all face the same
+// sequences.
 func TestProbTableMatchesMapReference(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		rng := sim.NewRNG(uint64(1000 + trial))
@@ -188,10 +189,125 @@ func TestProbTableMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestProbTableLateFirstQuery builds every per-self index from a table
+// that already holds hundreds of pairs: the first FreshLocalPeers/Report
+// for any self comes only after a long observation phase, so buildIndex
+// walks the whole slot index (in map order) and must still agree with
+// the reference — members sorted, wheels filed for exactly the fresh
+// entries — before incremental updates and expiries take over.
+func TestProbTableLateFirstQuery(t *testing.T) {
+	const stale = 3 * time.Second
+	for trial := 0; trial < 6; trial++ {
+		rng := sim.NewRNG(uint64(3000 + trial))
+		ids := []uint16{0, 65535}
+		for len(ids) < 40 {
+			ids = append(ids, uint16(rng.Intn(1<<16)))
+		}
+		pick := func() uint16 { return ids[rng.Intn(len(ids))] }
+		dut := NewProbTable(0.5, stale)
+		ref := newRefProbTable(0.5, stale)
+		now := time.Duration(0)
+		step := func() {
+			now += time.Duration(rng.Intn(40)) * time.Millisecond
+			from, to, x := pick(), pick(), rng.Float64()
+			if rng.Intn(2) == 0 {
+				dut.ObserveLocal(from, to, x, now)
+				ref.ObserveLocal(from, to, x, now)
+			} else {
+				dut.ObserveGossip(from, to, x, now)
+				ref.ObserveGossip(from, to, x, now)
+			}
+		}
+		check := func(phase string) {
+			for _, self := range ids {
+				gp, wp := dut.FreshLocalPeers(self, now), ref.FreshLocalPeers(self, now)
+				if !slices.Equal(gp, wp) {
+					t.Fatalf("trial %d %s: FreshLocalPeers(%d) = %v, ref %v", trial, phase, self, gp, wp)
+				}
+				gr, wr := dut.Report(self, now), ref.Report(self, now)
+				if fmt.Sprint(gr) != fmt.Sprint(wr) {
+					t.Fatalf("trial %d %s: Report(%d) =\n%v\nref\n%v", trial, phase, self, gr, wr)
+				}
+			}
+		}
+		// About 20 s of observations: the early ones are stale by the
+		// first query, the late ones fresh, so the build both admits and
+		// skips entries.
+		for i := 0; i < 600; i++ {
+			step()
+		}
+		check("first query")
+		for i := 0; i < 400; i++ {
+			step()
+			if i%25 == 0 {
+				check("incremental")
+			}
+		}
+		now += stale + time.Nanosecond
+		check("drained")
+	}
+}
+
+// TestProbTableMemoryBoundedByPairs pins the table's footprint to the
+// pairs it observes, not the address space they are drawn from: a few
+// hundred local and gossip pairs scattered over the whole uint16 range
+// (0 and 65535 included) must occupy exactly one slot each, and the
+// bytes allocated while observing them must stay under a small constant
+// per pair. A layout padded out to the highest address seen allocates
+// orders of magnitude more.
+func TestProbTableMemoryBoundedByPairs(t *testing.T) {
+	const maxBytesPerPair = 256
+	rng := sim.NewRNG(77)
+	ids := []uint16{0, 65535}
+	for len(ids) < 64 {
+		ids = append(ids, uint16(rng.Intn(1<<16)))
+	}
+	type obs struct {
+		from, to uint16
+		gossip   bool
+	}
+	// Draw the sequence up front, so only the table allocates while the
+	// allocation counter runs. Pairs repeat, as re-heard beacons do.
+	var seq []obs
+	distinct := map[[2]uint16]bool{{0, 65535}: true, {65535, 0}: true}
+	seq = append(seq, obs{0, 65535, false}, obs{65535, 0, true})
+	for len(seq) < 600 {
+		o := obs{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], rng.Intn(2) == 0}
+		seq = append(seq, o)
+		distinct[[2]uint16{o.from, o.to}] = true
+	}
+	pt := NewProbTable(0.5, 3*time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, o := range seq {
+		now := time.Duration(i) * time.Millisecond
+		if o.gossip {
+			pt.ObserveGossip(o.from, o.to, 0.5, now)
+		} else {
+			pt.ObserveLocal(o.from, o.to, 0.5, now)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(pt.slots) != len(distinct) {
+		t.Fatalf("%d slots for %d distinct pairs", len(pt.slots), len(distinct))
+	}
+	perPair := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(distinct))
+	t.Logf("%d distinct pairs, %.0f bytes allocated per pair", len(distinct), perPair)
+	if perPair > maxBytesPerPair {
+		t.Fatalf("observing %d pairs allocated %.0f bytes per pair, want ≤ %d",
+			len(distinct), perPair, maxBytesPerPair)
+	}
+	for k := range distinct {
+		if pt.Get(k[0], k[1], time.Duration(len(seq))*time.Millisecond) == 0 {
+			t.Fatalf("pair %v lost", k)
+		}
+	}
+}
+
 // TestProbTableStalenessBoundary pins the exact cutoff semantics on
 // every read path: an entry observed at t is fresh at t+stale inclusive
-// and stale one nanosecond later, for local and gossip alike, in the
-// dense and sparse layouts alike. The expiry wheels must reproduce this
+// and stale one nanosecond later, for local and gossip alike, in every
+// ID regime. The expiry wheels must reproduce this
 // boundary exactly — popping at `at < now` (strict) is what makes the
 // inclusive edge survive.
 func TestProbTableStalenessBoundary(t *testing.T) {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,6 +38,62 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite covers every float field of the spec:
+// NaN, +Inf and -Inf are refused with an error naming the key, whether
+// they arrive through the override syntax or are set on the struct
+// directly. Before this check NaN passed every ordered comparison (w=NaN
+// simulated garbage) and speed=Inf never finished a run.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		key string
+		set func(*Spec, float64)
+	}{
+		{"w", func(s *Spec, v float64) { s.Width = v }},
+		{"h", func(s *Spec, v float64) { s.Height = v }},
+		{"speed", func(s *Spec, v float64) { s.SpeedKmh = v }},
+		{"jitter", func(s *Spec, v float64) { s.JitterM = v }},
+		{"range", func(s *Spec, v float64) { s.RangeM = v }},
+		{"bprate", func(s *Spec, v float64) { s.BackplaneRateBps = v }},
+		{"bploss", func(s *Spec, v float64) { s.BackplaneLoss = v }},
+	}
+	for _, f := range fields {
+		for _, val := range []string{"NaN", "Inf", "-Inf"} {
+			_, err := Parse("grid-city," + f.key + "=" + val)
+			if err == nil || !strings.Contains(err.Error(), f.key+" = ") {
+				t.Errorf("Parse %s=%s: err = %v, want a non-finite refusal naming %s", f.key, val, err, f.key)
+			}
+			s, _ := Preset("grid-city")
+			v, _ := strconv.ParseFloat(val, 64)
+			f.set(&s, v)
+			if err := s.Validate(); err == nil {
+				t.Errorf("Validate with %s = %g succeeded", f.key, v)
+			}
+		}
+	}
+}
+
+// TestValidateBackplaneRate pins the backplane rate's domain: zero keeps
+// the default and is accepted, any negative rate is refused.
+func TestValidateBackplaneRate(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"grid-city,bprate=0", true},
+		{"grid-city,bprate=2e6", true},
+		{"grid-city,bprate=-1", false},
+		{"grid-city,bprate=-1e9", false},
+	} {
+		_, err := Parse(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("Parse(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "bprate") {
+			t.Errorf("Parse(%q): error %q does not name bprate", tc.spec, err)
 		}
 	}
 }

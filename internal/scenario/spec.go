@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,6 +333,20 @@ func parseMix(val string) ([4]int, error) {
 
 // Validate reports the first configuration error.
 func (s Spec) Validate() error {
+	// NaN slips past every ordered comparison below and ±Inf past the
+	// sign checks, so non-finite values are refused first, by key.
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"w", s.Width}, {"h", s.Height}, {"speed", s.SpeedKmh},
+		{"jitter", s.JitterM}, {"range", s.RangeM},
+		{"bprate", s.BackplaneRateBps}, {"bploss", s.BackplaneLoss},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s = %g, need a finite number", f.key, f.v)
+		}
+	}
 	switch {
 	case s.BS < 1:
 		return fmt.Errorf("scenario: bs = %d, need ≥ 1", s.BS)
@@ -345,6 +360,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: stops = %d, need ≥ 2", s.RouteStops)
 	case s.JitterM < 0 || s.RangeM < 0 || s.BackplaneLoss < 0 || s.BackplaneLoss > 1:
 		return fmt.Errorf("scenario: negative jitter/range or loss outside [0,1]")
+	case s.BackplaneRateBps < 0:
+		return fmt.Errorf("scenario: bprate = %g bit/s, need ≥ 0 (0 keeps the default)", s.BackplaneRateBps)
 	case s.Topology == Cluster && s.Clusters < 1:
 		return fmt.Errorf("scenario: cluster topology needs clusters ≥ 1")
 	case s.DepartStagger < 0:
