@@ -352,6 +352,28 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeOversizedBody: a 2 MiB body is refused with 413 on both
+// endpoints that decode one, before anything is created or paused.
+func TestServeOversizedBody(t *testing.T) {
+	sv, ts := startTestServer(t, 1)
+	id := createSession(t, ts, `{"scenario":"grid-small","duration":"1s","seed":1}`)
+	waitDone(t, sv, id)
+	huge := `{"scenario":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/" + id + "/pause"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with 2 MiB: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if code, body := get(t, ts, "/v1/sessions"); code != http.StatusOK || strings.Count(string(body), `"id"`) != 1 {
+		t.Errorf("after oversized posts: status %d, sessions %s", code, body)
+	}
+}
+
 func TestServeSessionList(t *testing.T) {
 	sv, ts := startTestServer(t, 2)
 	a := createSession(t, ts, `{"scenario":"grid-small","duration":"15s","seed":1}`)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -60,8 +61,7 @@ type createRequest struct {
 
 func (sv *server) createSession(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := scenario.Parse(req.Scenario)
@@ -342,11 +342,8 @@ func (sv *server) pauseSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req pauseRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	var at time.Duration
 	if req.At != "" {
@@ -376,6 +373,26 @@ func (sv *server) resumeSession(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes bounds every request body the server decodes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// It answers 413 for a larger body and 400 for malformed JSON, and
+// reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	default:
+		httpError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	}
+	return false
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

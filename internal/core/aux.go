@@ -52,6 +52,26 @@ func (n *Node) considerPending(f *frame.Frame) {
 		key: key,
 		pkt: pendPkt{f: f, heardAt: now, veh: veh},
 	})
+	n.wakeRelay(now)
+}
+
+// wakeRelay arms the relay timer at its first firing at or after now.
+// While pending was empty the timer slept; each firing it skipped would
+// only have drawn its reschedule jitter, so replaying those draws here
+// leaves n.rng exactly where firing every period would have left it.
+func (n *Node) wakeRelay(now time.Duration) {
+	if n.relayT.Pending() {
+		return
+	}
+	for n.relayAt < now {
+		n.relayAt += n.relayPeriod()
+	}
+	n.relayT = n.K.AtHandlerLate(n.relayAt, uint64(n.addr), &n.relayH)
+}
+
+// relayPeriod draws the jittered gap to the relay timer's next firing.
+func (n *Node) relayPeriod() time.Duration {
+	return n.cfg.RelayCheck + n.rng.Jitter(n.cfg.RelayCheck/2)
 }
 
 func dirOfFrame(f *frame.Frame) Direction {
@@ -70,11 +90,17 @@ func contains(xs []uint16, x uint16) bool {
 	return false
 }
 
-// relayTick is the auxiliary's periodic relay timer (§4.4: "Each auxiliary
-// BS has a timer that fires periodically... decides whether it needs to
-// relay any unacknowledged packet"). Firing times are jittered so
-// auxiliaries stay desynchronized, which suppresses duplicate relays via
-// overheard acknowledgments.
+// relayTick is one firing of the auxiliary's periodic relay timer (§4.4:
+// "Each auxiliary BS has a timer that fires periodically... decides
+// whether it needs to relay any unacknowledged packet"). Firing times are
+// jittered so auxiliaries stay desynchronized, which suppresses duplicate
+// relays via overheard acknowledgments.
+//
+// The period chain is kept without kernel events while there is nothing
+// to decide: a firing that leaves pending empty only stores the next
+// firing time, and considerPending re-arms the timer through wakeRelay.
+// The timer is a late kernel event keyed by address, so its order among
+// same-instant events does not depend on when it was armed.
 func (n *Node) relayTick() {
 	now := n.K.Now()
 	if len(n.pending) > 0 {
@@ -123,7 +149,10 @@ func (n *Node) relayTick() {
 		}
 		n.pending = live
 	}
-	n.K.AfterHandler(n.cfg.RelayCheck+n.rng.Jitter(n.cfg.RelayCheck/2), &n.relayH)
+	n.relayAt = now + n.relayPeriod()
+	if len(n.pending) > 0 {
+		n.wakeRelay(now)
+	}
 }
 
 // decideRelay computes this auxiliary's relay probability for the packet

@@ -156,6 +156,10 @@ type Node struct {
 	// deterministic relay decisions).
 	relayScratch []int32
 	relayCtx     RelayContext
+	// relayAt is the relay timer's next firing time; relayT is its kernel
+	// event, armed only while pending is non-empty (see wakeRelay).
+	relayAt time.Duration
+	relayT  sim.Timer
 
 	// Reusable frame scratch for synchronous sends (the MAC marshals
 	// before returning, so one scratch serves all send sites).
@@ -205,7 +209,7 @@ func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
 	m.StartBeacons(n.buildBeacon)
 	k.AfterHandler(cfg.ProbWindow+k.RNG("corewin", fmt.Sprint(m.Addr())).Jitter(cfg.ProbWindow/4), &n.windowH)
 	if !isVehicle && cfg.EnableRelay {
-		k.AfterHandler(cfg.RelayCheck+n.rng.Jitter(cfg.RelayCheck), &n.relayH)
+		n.relayAt = k.Now() + cfg.RelayCheck + n.rng.Jitter(cfg.RelayCheck)
 	}
 	return n
 }

@@ -88,18 +88,28 @@ func TestInterleavedCancelKeepsOrder(t *testing.T) {
 	}
 }
 
-// stepHandler is a self-rescheduling Handler used by the allocation guard.
+// stepHandler is a self-rescheduling Handler used by the allocation guard;
+// a late one reschedules itself as a late event.
 type stepHandler struct {
 	k     *Kernel
 	n     int
 	limit int
+	late  bool
 }
 
 func (h *stepHandler) OnEvent() {
 	h.n++
 	if h.n < h.limit {
-		h.k.AfterHandler(time.Microsecond, h)
+		h.schedule()
 	}
+}
+
+func (h *stepHandler) schedule() {
+	if h.late {
+		h.k.AtHandlerLate(h.k.Now()+time.Microsecond, 1, h)
+		return
+	}
+	h.k.AfterHandler(time.Microsecond, h)
 }
 
 // TestKernelDispatchAllocFree is the hot-path guard for the event kernel:
@@ -107,12 +117,15 @@ func (h *stepHandler) OnEvent() {
 // in steady state (the arena and heap are warm after the first pass).
 func TestKernelDispatchAllocFree(t *testing.T) {
 	k := NewKernel(1)
-	h := &stepHandler{k: k, limit: 1 << 30}
+	h := &stepHandler{k: k, limit: 1000}
+	late := &stepHandler{k: k, limit: 1000, late: true}
 	// Warm the arena and heap.
-	k.AfterHandler(time.Microsecond, h)
+	h.schedule()
+	late.schedule()
 	k.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.AfterHandler(time.Microsecond, h)
+		h.schedule()
+		late.schedule()
 		for k.Step() {
 		}
 	})

@@ -34,7 +34,7 @@ type Handler interface {
 // stale Timer handles can never cancel an unrelated event.
 type event struct {
 	at   time.Duration
-	seq  uint64 // tie-breaker: FIFO among equal timestamps
+	seq  uint64 // tie-breaker: FIFO among equal timestamps, late events last
 	h    Handler
 	fn   Event
 	gen  uint32
@@ -122,15 +122,33 @@ func (k *Kernel) release(i int32) {
 }
 
 func (k *Kernel) schedule(at time.Duration, h Handler, fn Event) Timer {
+	k.seq++
+	return k.push(at, k.seq, h, fn)
+}
+
+func (k *Kernel) push(at time.Duration, seq uint64, h Handler, fn Event) Timer {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
-	k.seq++
 	i := k.alloc()
 	ev := &k.pool[i]
-	ev.at, ev.seq, ev.h, ev.fn = at, k.seq, h, fn
+	ev.at, ev.seq, ev.h, ev.fn = at, seq, h, fn
 	k.heapPush(i)
 	return Timer{k: k, idx: i, gen: ev.gen}
+}
+
+// lateSeq marks the seq of a late event. Ordinary seqs count up from 1 and
+// never reach it, so late events sort after every ordinary event at their
+// instant.
+const lateSeq = 1 << 63
+
+// AtHandlerLate schedules h.OnEvent at absolute virtual time at with an
+// order that does not depend on when it was scheduled: it runs after every
+// ordinary event due at the same instant, and late events sharing an
+// instant run in ascending key order. The caller keeps keys unique among
+// its pending late events; the key's top bit is ignored.
+func (k *Kernel) AtHandlerLate(at time.Duration, key uint64, h Handler) Timer {
+	return k.push(at, lateSeq|key, h, nil)
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
@@ -226,8 +244,9 @@ func (k *Kernel) RunBefore(deadline time.Duration) {
 // spends its comparison time. The heap is 4-ary for the same reason —
 // half the depth of a binary heap, and the four children of a node share
 // a cache line. (at, seq) is a strict total order over live events (seq
-// is unique), so heap shape never influences pop order: any correct heap
-// pops the exact same sequence.
+// is unique: ordinary seqs by counting, late seqs by their callers' unique
+// keys), so heap shape never influences pop order: any correct heap pops
+// the exact same sequence.
 
 // heapSlot is one heap entry: the ordering key and the pool index.
 type heapSlot struct {

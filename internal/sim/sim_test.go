@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,6 +39,74 @@ func TestKernelFIFOAmongEqualTimes(t *testing.T) {
 			t.Fatalf("equal-time events not FIFO: %v", order)
 		}
 	}
+}
+
+// recordHandler appends its id to a shared log when it fires.
+type recordHandler struct {
+	id  int
+	log *[]int
+}
+
+func (h *recordHandler) OnEvent() { *h.log = append(*h.log, h.id) }
+
+func TestLateEventsRunAfterOrdinaryInKeyOrder(t *testing.T) {
+	k := NewKernel(1)
+	var order []int
+	rec := func(id int) *recordHandler { return &recordHandler{id: id, log: &order} }
+	at := 10 * time.Millisecond
+	// Late events first, keys out of order; ordinary events at the same
+	// instant scheduled after them, one of them from inside an earlier
+	// event so its seq is as late as it gets.
+	k.AtHandlerLate(at, 9, rec(109))
+	k.AtHandlerLate(at, 2, rec(102))
+	k.AtHandler(at, rec(1))
+	k.AtHandlerLate(at, 5, rec(105))
+	k.At(at/2, func() {
+		k.AtHandler(at, rec(2))
+		k.AtHandlerLate(at, 3, rec(103))
+	})
+	k.AtHandlerLate(at-1, 7, rec(100))
+	k.Run()
+	want := []int{100, 1, 2, 102, 103, 105, 109}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+func TestLateTimerStopAndPending(t *testing.T) {
+	k := NewKernel(1)
+	var order []int
+	tm := k.AtHandlerLate(time.Second, 4, &recordHandler{id: 4, log: &order})
+	other := k.AtHandlerLate(time.Second, 5, &recordHandler{id: 5, log: &order})
+	if !tm.Pending() || !other.Pending() {
+		t.Fatal("late timers should be pending")
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop should report true for a pending late timer")
+	}
+	if tm.Stop() || tm.Pending() {
+		t.Error("stopped late timer still reports pending")
+	}
+	k.Run()
+	if !slices.Equal(order, []int{5}) {
+		t.Errorf("fired %v, want only [5]", order)
+	}
+	if other.Pending() {
+		t.Error("fired late timer reports pending")
+	}
+}
+
+func TestLateSchedulePastPanics(t *testing.T) {
+	k := NewKernel(1)
+	k.At(time.Second, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("late scheduling in the past did not panic")
+			}
+		}()
+		k.AtHandlerLate(500*time.Millisecond, 1, &recordHandler{log: new([]int)})
+	})
+	k.Run()
 }
 
 func TestKernelAfterChains(t *testing.T) {
@@ -316,18 +385,25 @@ func TestRNGIntnPanics(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-// Property: timers stopped before Run never fire, timers left alone always do.
+// Property: timers stopped before Run never fire, timers left alone always
+// do, whether ordinary or late.
 func TestTimerProperty(t *testing.T) {
-	f := func(seed int64, stops []bool) bool {
+	f := func(seed int64, stops, lates []bool) bool {
 		if len(stops) == 0 || len(stops) > 50 {
 			return true
 		}
 		k := NewKernel(seed)
+		var log []int
 		fired := make([]bool, len(stops))
 		timers := make([]Timer, len(stops))
 		for i := range stops {
 			i := i
-			timers[i] = k.After(time.Duration(i+1)*time.Millisecond, func() { fired[i] = true })
+			at := time.Duration(i%7+1) * time.Millisecond
+			if i < len(lates) && lates[i] {
+				timers[i] = k.AtHandlerLate(at, uint64(i), &recordHandler{id: i, log: &log})
+				continue
+			}
+			timers[i] = k.At(at, func() { fired[i] = true })
 		}
 		for i, stop := range stops {
 			if stop {
@@ -335,6 +411,9 @@ func TestTimerProperty(t *testing.T) {
 			}
 		}
 		k.Run()
+		for _, i := range log {
+			fired[i] = true
+		}
 		for i, stop := range stops {
 			if stop == fired[i] {
 				return false
