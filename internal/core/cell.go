@@ -110,15 +110,12 @@ func (c *Cell) RadioLaneCounts() (bs, veh []int) {
 }
 
 // newCellBase wires the shared substrate: channel, backplane, gateway and
-// basestations (addresses 0..len(bsMovers)-1, in order). vehicles is the
-// number of vehicles the caller will attach afterwards: the channel uses
-// the total as a capacity hint, so link rows never re-grow and city-scale
-// fleets start on the spatially indexed path from the first attach.
-func newCellBase(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehicles int) *Cell {
+// basestations (addresses 0..len(bsMovers)-1, in order).
+func newCellBase(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover) *Cell {
 	if len(bsMovers) == 0 {
 		panic("core: a cell needs at least one basestation")
 	}
-	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+vehicles)
+	ch := radio.NewChannel(k, opts.Radio, opts.LinkFactory)
 	bp := backplane.New(k, opts.Backplane)
 	gw := NewGateway(k, bp, opts.Events)
 
@@ -137,7 +134,7 @@ func newCellBase(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, veh
 // beaconing immediately; anchor selection settles after roughly one
 // probability window.
 func NewCell(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehMover mobility.Mover) *Cell {
-	c := newCellBase(k, opts, bsMovers, 1)
+	c := newCellBase(k, opts, bsMovers)
 	// The single vehicle keeps its historical stream labels ("mac","veh"),
 	// so fleet support cannot disturb existing seeded experiments.
 	vm := mac.NewWithConfig(k, c.Channel, "veh", vehMover, opts.MAC)
@@ -158,7 +155,7 @@ func NewFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobilit
 	if len(vehMovers) == 0 {
 		panic("core: a fleet cell needs at least one vehicle")
 	}
-	c := newCellBase(k, opts, bsMovers, len(vehMovers))
+	c := newCellBase(k, opts, bsMovers)
 	for i, mv := range vehMovers {
 		vm := mac.NewWithConfig(k, c.Channel, fmt.Sprintf("veh%d", i), mv, opts.MAC)
 		c.Vehicles = append(c.Vehicles, newNode(k, opts.Protocol, vm, nil, c.Gateway.Addr(), true, opts.Events))
@@ -183,7 +180,7 @@ func NewDistrictFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers [
 	if len(vehMovers) == 0 {
 		panic("core: a fleet cell needs at least one vehicle")
 	}
-	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
+	ch := radio.NewChannel(k, opts.Radio, opts.LinkFactory)
 	bp := backplane.New(k, opts.Backplane)
 	c := &Cell{K: k, Channel: ch, Backplane: bp, VehDistrict: append([]int(nil), vehDistrict...)}
 	for d := 0; d < districts; d++ {
@@ -219,7 +216,7 @@ func NewDistrictFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers [
 // remotes pointing at their owning shard, so any cross-shard backplane
 // send flows through the coupler instead of being dropped as unknown.
 func NewDistrictShardCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, bsDistrict, vehDistrict []int, districts int, districtShard []int, shard int) *Cell {
-	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
+	ch := radio.NewChannel(k, opts.Radio, opts.LinkFactory)
 	bp := backplane.New(k, opts.Backplane)
 	c := &Cell{
 		K: k, Channel: ch, Backplane: bp,

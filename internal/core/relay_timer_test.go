@@ -19,7 +19,7 @@ func bsOnlyRun(seed int64, cfg Config, d time.Duration) (*sim.Kernel, []*Node) {
 	movers := []mobility.Mover{
 		mobility.Fixed{X: 0}, mobility.Fixed{X: 60}, mobility.Fixed{X: 120}, mobility.Fixed{X: 180},
 	}
-	c := newCellBase(k, opts, movers, 0)
+	c := newCellBase(k, opts, movers)
 	k.RunUntil(d)
 	return k, c.BSes
 }

@@ -36,9 +36,9 @@ type fleetSession struct {
 	key      string
 	appcfg   workload.Config
 
-	eff           int   // kernel count: >1 only for coupled shards
-	haloLanes     int   // delivery lanes on the halo path (0/1 otherwise)
-	requested     int   // shard count the caller asked for
+	eff           int    // kernel count: >1 only for coupled shards
+	haloLanes     int    // delivery lanes on the halo path (0/1 otherwise)
+	requested     int    // shard count the caller asked for
 	reason        string // why a shards>1 request degraded to serial
 	districtShard []int  // nil off the coupled path
 	kernels       []*sim.Kernel

@@ -41,16 +41,16 @@ func (f ReceiverFunc) RadioReceive(payload []byte, info RxInfo) { f(payload, inf
 // LinkFactory builds the LinkModel for a directed (from, to) pair. The
 // default factory creates independent FadingLinks; trace-driven
 // experiments install ScheduleLinks instead. Factories must be pure
-// functions of (from, to): below the index threshold the channel
-// instantiates every directed pair eagerly at attach time, above it
-// lazily on first contact — the two must be indistinguishable.
+// functions of (from, to): the channel creates each link on the pair's
+// first contact, and which pair is contacted first depends on the
+// delivery path and the traffic.
 type LinkFactory func(from, to NodeID) LinkModel
 
 // reception is one in-flight frame at one receiver. It carries its own
 // damage state so that collisions can void it without racing against
-// receptions that complete at the same instant. Records are pooled on the
-// channel and double as the scheduled delivery event (sim.Handler), so
-// steady-state delivery performs no allocation.
+// receptions that complete at the same instant. Records are pooled (on the
+// channel, or on a delivery lane) and double as the scheduled delivery
+// event (sim.Handler), so steady-state delivery performs no allocation.
 type reception struct {
 	ch        *Channel
 	dst       *node
@@ -73,7 +73,7 @@ func (r *reception) OnEvent() {
 	if d.cur == r {
 		d.cur = nil
 	}
-	c.freeReception(r)
+	recycle(&c.freeRx, r)
 	if !ok {
 		if buf != nil {
 			c.bufs.Put(buf)
@@ -87,16 +87,25 @@ func (r *reception) OnEvent() {
 	c.bufs.Put(buf)
 }
 
-// nbrEntry is one cached broadcast candidate: a node bucketed in the
-// transmitter's 3×3 grid neighborhood. The link state is resolved on the
-// candidate's first in-cutoff contact and memoized — not prefetched at
-// cache build — so links come into being on exactly the contacts that
-// instantiated them before the cache existed; a 3×3 neighborhood holds
-// several times more candidates than the cutoff disc, and materializing
-// links for the fringe would multiply the lazy table for pairs that may
-// never exchange a frame. (The sharded path is the exception: it
-// resolves links eagerly at cache build, because worker lanes must never
-// touch the lazy map — see broadcastSharded.)
+// recycle clears a reception record and pushes it onto a free list.
+func recycle(free **reception, r *reception) {
+	r.dst = nil
+	r.buf = nil
+	r.scheduled = false
+	r.next = *free
+	*free = r
+}
+
+// nbrEntry is one cached broadcast candidate. On the full sweep every
+// candidate is contacted by every broadcast, so its link state is
+// resolved when the entry is cached. On the indexed path the candidate
+// is a node bucketed in the transmitter's 3×3 grid neighborhood, and its
+// link state is resolved on the first in-cutoff contact and memoized: a
+// 3×3 neighborhood holds several times more candidates than the cutoff
+// disc, and materializing links for the fringe would multiply the link
+// table for pairs that may never exchange a frame. (The sharded path
+// resolves links at cache build, because worker lanes must never touch
+// the link map — see candidates.)
 //
 // owner is the delivery lane owning this candidate (the stripe of its
 // bucket cell column), filled only by the sharded path; the serial path
@@ -117,10 +126,14 @@ type node struct {
 	cur     *reception    // latest reception locking this receiver
 	down    bool          // radio muted by fault injection (SetDown)
 
-	// nbr caches the candidate list of the node's last indexed broadcast,
-	// in grid walk order. Valid while the grid version and the node's
-	// query cell are unchanged — then a fresh walk would return the exact
-	// same nodes in the same order, so reuse is byte-identical.
+	// nbr caches the node's broadcast candidates (see candidates). On
+	// the full sweep it lists every other attached node in ID order and
+	// grows as radios attach. On the indexed path it holds the last grid
+	// walk, valid while the grid version and the node's query cell are
+	// unchanged — then a fresh walk would return the exact same nodes in
+	// the same order, so reuse is byte-identical. nbrOK marks a valid
+	// grid walk; the sweep never sets it, so the first indexed broadcast
+	// after the threshold is crossed rebuilds the list from the grid.
 	nbr     []nbrEntry
 	nbrVer  uint64
 	nbrCell uint64
@@ -183,11 +196,11 @@ func (t *txEnd) OnEvent() {
 }
 
 // DefaultIndexThreshold is the attached-node count at which a channel
-// switches to the spatially indexed hot path and lazy per-pair links,
-// unless Params.IndexThresholdNodes overrides it. Every run at or above
-// the threshold skips out-of-range receivers entirely (their per-link
-// streams advance less — safe because streams are private per link and
-// the skipped draws are guaranteed losses); every run below it keeps the
+// switches to the spatially indexed hot path, unless
+// Params.IndexThresholdNodes overrides it. Every run at or above the
+// threshold skips out-of-range receivers entirely (their per-link streams
+// advance less — safe because streams are private per link and the
+// skipped draws are guaranteed losses); every run below it keeps the
 // historical full sweep, so seeded sub-threshold experiments are
 // byte-identical to prior versions.
 const DefaultIndexThreshold = 128
@@ -201,15 +214,10 @@ type Channel struct {
 	P       Params
 	factory LinkFactory
 	nodes   []*node
-	capHint int // expected final node count (0 = unknown)
-	// links is the dense directed link table, indexed [from][to],
-	// instantiated eagerly at attach time; the diagonal is never
-	// populated. Above the index threshold it is replaced by lazy, the
-	// per-pair table keyed from<<32|to, populated on first contact — the
-	// two yield identical coin flips because link RNG streams are
-	// label-derived (see newLink).
-	links  [][]linkState
-	lazy   map[uint64]*linkState
+	// links is the directed link table, keyed by pairKey and populated
+	// on each pair's first contact. Link RNG streams are label-derived
+	// (see newLink), so when a link is created never moves a coin flip.
+	links  map[uint64]*linkState
 	bufs   frame.BufferPool
 	freeRx *reception
 	freeTx *txEnd
@@ -240,7 +248,7 @@ type Channel struct {
 // If factory is nil, independent FadingLinks are created per directed pair,
 // each seeded from the kernel's labeled RNG streams.
 func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
-	c := &Channel{K: k, P: p}
+	c := &Channel{K: k, P: p, links: make(map[uint64]*linkState)}
 	if factory == nil {
 		// The fading-derived cutoff (CutoffM) describes exactly the links
 		// this factory builds, so the indexed path may rely on it.
@@ -260,26 +268,8 @@ func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
 	return c
 }
 
-// NewChannelSized is NewChannel with a capacity hint from a caller that
-// knows the deployment size up front (scenario generators, fleet cells).
-// The hint pre-sizes the node and link tables so Attach never re-grows a
-// row, and a hint at or above the index threshold starts the channel in
-// lazy link mode immediately instead of eagerly building links it would
-// migrate later.
-func NewChannelSized(k *sim.Kernel, p Params, factory LinkFactory, capacity int) *Channel {
-	c := NewChannel(k, p, factory)
-	if capacity > 0 {
-		c.capHint = capacity
-		c.nodes = make([]*node, 0, capacity)
-		if capacity < c.indexThreshold() {
-			c.links = make([][]linkState, 0, capacity)
-		}
-	}
-	return c
-}
-
-// indexThreshold returns the node count at which the indexed path and
-// lazy link table take over.
+// indexThreshold returns the node count at which the indexed path takes
+// over.
 func (c *Channel) indexThreshold() int {
 	if c.P.IndexThresholdNodes > 0 {
 		return c.P.IndexThresholdNodes
@@ -295,10 +285,10 @@ func (c *Channel) indexed() bool {
 }
 
 // newLink builds the state of one directed link. Each link's RNG streams
-// are derived from stable labels, so eager construction at attach time
-// yields exactly the coin flips lazy construction does.
-func (c *Channel) newLink(from, to NodeID) linkState {
-	ls := linkState{
+// are derived from stable labels, so a link created at any contact
+// yields exactly the same coin flips.
+func (c *Channel) newLink(from, to NodeID) *linkState {
+	ls := &linkState{
 		model: c.factory(from, to),
 		loss:  c.K.RNG("loss", fmt.Sprint(from), fmt.Sprint(to)),
 		noise: c.K.RNG("rssi", fmt.Sprint(from), fmt.Sprint(to)),
@@ -312,57 +302,25 @@ func (c *Channel) newLink(from, to NodeID) linkState {
 	return ls
 }
 
-// pairKey packs a directed pair into the lazy-table key.
+// pairKey packs a directed pair into the link-table key.
 func pairKey(from, to NodeID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// Attach registers a radio with the channel and returns its NodeID.
-// Below the index threshold the directed link table grows by one row and
-// one column, instantiated immediately so the frame path never consults
-// a map; crossing the threshold migrates the table to lazy per-pair mode
-// (identical coin flips, see newLink) so a large fleet never pays the
-// O(N²) link memory or the quadratic attach cost.
+// Attach registers a radio with the channel and returns its NodeID. No
+// link is built here: each directed link is created on its first contact
+// (see link), so a large fleet never pays O(N²) link memory or a
+// quadratic attach cost.
 func (c *Channel) Attach(name string, mover mobility.Mover, recv Receiver) NodeID {
 	id := NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, &node{id: id, name: name, mover: mover, recv: recv})
-	if c.lazy == nil && max(len(c.nodes), c.capHint) >= c.indexThreshold() {
-		c.migrateLazy()
-	}
 	if c.grid != nil {
 		c.grid.insert(id, mover, c.K.Now())
 		c.scheduleReval()
 	} else if c.indexed() {
 		c.buildGrid()
 	}
-	if c.lazy != nil {
-		return id
-	}
-	rowCap := max(len(c.nodes), c.capHint)
-	row := make([]linkState, len(c.nodes), rowCap)
-	for other := NodeID(0); other < id; other++ {
-		row[other] = c.newLink(id, other)
-		c.links[other] = append(c.links[other], c.newLink(other, id))
-	}
-	c.links = append(c.links, row)
 	return id
-}
-
-// migrateLazy moves the dense link table into the lazy per-pair map.
-// Only links already instantiated move; everything else is created on
-// first contact.
-func (c *Channel) migrateLazy() {
-	c.lazy = make(map[uint64]*linkState, len(c.links)*len(c.links))
-	for from, row := range c.links {
-		for to := range row {
-			if row[to].model == nil {
-				continue // the diagonal
-			}
-			ls := row[to]
-			c.lazy[pairKey(NodeID(from), NodeID(to))] = &ls
-		}
-	}
-	c.links = nil
 }
 
 // SetReceiver replaces the receiver of an attached node (used when protocol
@@ -424,33 +382,16 @@ func (c *Channel) Position(id NodeID) mobility.Point {
 	return c.nodes[id].mover.Position(c.K.Now())
 }
 
-// link returns the state for the directed pair, instantiating it on
-// first contact in lazy mode.
+// link returns the state for the directed pair, creating it on first
+// contact.
 func (c *Channel) link(from, to NodeID) *linkState {
-	if c.lazy != nil {
-		key := pairKey(from, to)
-		ls := c.lazy[key]
-		if ls == nil {
-			l := c.newLink(from, to)
-			ls = &l
-			c.lazy[key] = ls
-		}
-		return ls
+	key := pairKey(from, to)
+	ls := c.links[key]
+	if ls == nil {
+		ls = c.newLink(from, to)
+		c.links[key] = ls
 	}
-	return &c.links[from][to]
-}
-
-// Link exposes the LinkModel for a directed pair (diagnostics and
-// experiment instrumentation).
-func (c *Channel) Link(from, to NodeID) LinkModel { return c.link(from, to).model }
-
-// ReceiveProb reports the instantaneous reception probability from one
-// node to another given their current positions. This is the oracle the
-// idealized policies (BestBS, AllBSes, PerfectRelay) consult.
-func (c *Channel) ReceiveProb(from, to NodeID) float64 {
-	now := c.K.Now()
-	d := c.nodes[from].mover.Position(now).Dist(c.nodes[to].mover.Position(now))
-	return c.link(from, to).model.ReceiveProb(now, d)
+	return ls
 }
 
 // Busy reports whether the medium is sensed busy at the node: either the
@@ -489,35 +430,6 @@ func (c *Channel) Transmitting(id NodeID) bool {
 	return c.nodes[id].txUntil > c.K.Now()
 }
 
-// allocReception takes a record from the pool.
-func (c *Channel) allocReception() *reception {
-	if r := c.freeRx; r != nil {
-		c.freeRx = r.next
-		r.next = nil
-		return r
-	}
-	return &reception{ch: c}
-}
-
-// freeReception returns a record to the pool.
-func (c *Channel) freeReception(r *reception) {
-	r.dst = nil
-	r.buf = nil
-	r.scheduled = false
-	r.next = c.freeRx
-	c.freeRx = r
-}
-
-// setCur installs rx as the receiver's locking reception. A displaced
-// record that no delivery event owns (a lost frame that completed) is
-// recycled here; scheduled records free themselves when they fire.
-func (c *Channel) setCur(dst *node, rx *reception) {
-	if prev := dst.cur; prev != nil && !prev.scheduled {
-		c.freeReception(prev)
-	}
-	dst.cur = rx
-}
-
 // Broadcast puts a frame on the air from the given node. Every other node
 // receives it with its link-model probability, subject to half-duplex and
 // collision rules. Returns the frame's airtime. If txDone is non-nil its
@@ -545,16 +457,7 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 		// still elapses for the caller and txDone still fires, so the
 		// MAC's one-outstanding-frame gate advances normally. No RNG is
 		// touched, keeping every live pair's streams byte-identical.
-		te := c.freeTx
-		if te != nil {
-			c.freeTx = te.next
-			te.next = nil
-		} else {
-			te = &txEnd{ch: c}
-		}
-		te.src = src
-		te.txDone = txDone
-		c.K.AtHandler(end, te)
+		c.endTx(src, end, txDone)
 		return airtime
 	}
 	src.txUntil = end
@@ -568,22 +471,30 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	}
 
 	srcPos := src.mover.Position(now)
+	indexed := c.candidates(src, srcPos, now)
 	if c.shard != nil {
 		c.broadcastSharded(src, srcPos, payload, now, end)
-	} else if c.indexed() {
-		c.broadcastIndexed(src, srcPos, payload, now, end)
 	} else {
-		for _, dst := range c.nodes {
-			if dst.id == from {
+		for i := range src.nbr {
+			nb := &src.nbr[i]
+			dist := srcPos.Dist(nb.dst.mover.Position(now))
+			if indexed && !c.inReach(src, nb, dist) {
 				continue
 			}
-			dist := srcPos.Dist(dst.mover.Position(now))
-			c.deliver(src, dst, c.link(src.id, dst.id), dist, payload, now, end)
+			if rx := c.decide(&c.stats, &c.freeRx, src, nb.dst, nb.ls, dist, now, end); rx != nil {
+				c.schedule(rx, payload)
+			}
 		}
 	}
 	// Schedule the tx-done notification after the delivery events so that
 	// receptions completing exactly at end are processed before the sender
 	// reuses the medium (FIFO among equal timestamps).
+	c.endTx(src, end, txDone)
+	return airtime
+}
+
+// endTx schedules the end-of-airtime event of src's transmission.
+func (c *Channel) endTx(src *node, end time.Duration, txDone sim.Handler) {
 	te := c.freeTx
 	if te != nil {
 		c.freeTx = te.next
@@ -594,49 +505,78 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	te.src = src
 	te.txDone = txDone
 	c.K.AtHandler(end, te)
-	return airtime
 }
 
-// broadcastIndexed delivers to the 3×3 grid neighborhood only: receivers
-// beyond the channel cutoff — or beyond the link model's own advertised
-// reach — are skipped entirely, so neither their loss/noise streams nor
-// any collision state is touched. Per-link streams make that safe: the
-// skipped draws correspond to guaranteed losses, and every other link's
-// flips are unchanged.
-// Candidate lists are cached per transmitter and reused while the grid
-// version and the transmitter's query cell hold still (stationary nodes:
-// until the next bucket change anywhere; movers: also bounded by their
-// own cell crossings), so the steady-state broadcast does no map lookups
-// at all. Prefetching the link states of candidates a walk would have
-// skipped (inside the 3×3 cells but beyond the cutoff) is invisible:
-// link RNG streams are label-derived, so instantiation time never moves
-// a coin flip, and untouched links draw nothing.
-func (c *Channel) broadcastIndexed(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
+// candidates brings src's broadcast candidate cache (node.nbr) up to date
+// and reports whether the channel is on the indexed path. The path only
+// ever moves from the full sweep to the indexed one (nodes attach but
+// never detach), so one cache serves both.
+//
+// Full sweep: every other attached node, in ID order, with its link
+// resolved. A built cache covers IDs [0, len(nbr)] minus src — src is
+// attached before its first broadcast — so only radios attached since
+// are appended.
+//
+// Indexed: the 3×3 grid neighborhood in walk order, reused while the
+// grid version and src's query cell hold still (stationary nodes: until
+// the next bucket change anywhere; movers: also bounded by their own
+// cell crossings), so the steady-state broadcast does no map lookups at
+// all. Receivers beyond the channel cutoff — or beyond the link model's
+// own advertised reach — are then skipped entirely (see inReach), so
+// neither their loss/noise streams nor any collision state is touched.
+// Per-link streams make that safe: the skipped draws correspond to
+// guaranteed losses, and every other link's flips are unchanged. On a
+// sharded channel each entry also records its owning lane, and links
+// resolve here — on the coordinator, at cache build — because lanes must
+// never touch the link map. That materializes fringe links the serial
+// path would skip, which is invisible to results: untouched links draw
+// nothing.
+func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration) bool {
+	if !c.indexed() {
+		next := NodeID(len(src.nbr))
+		if src.id <= next {
+			next++
+		}
+		for ; int(next) < len(c.nodes); next++ {
+			if next != src.id {
+				src.nbr = append(src.nbr, nbrEntry{dst: c.nodes[next], ls: c.link(src.id, next)})
+			}
+		}
+		return false
+	}
 	g := c.ensureGrid(now)
 	cell := g.cellKey(srcPos)
-	if !src.nbrOK || src.nbrVer != g.version || src.nbrCell != cell {
-		src.nbr = src.nbr[:0]
-		g.neighborhood(srcPos, func(id NodeID) {
-			if id != src.id {
-				src.nbr = append(src.nbr, nbrEntry{dst: c.nodes[id]})
-			}
-		})
-		src.nbrOK, src.nbrVer, src.nbrCell = true, g.version, cell
+	if src.nbrOK && src.nbrVer == g.version && src.nbrCell == cell {
+		return true
 	}
-	for i := range src.nbr {
-		nb := &src.nbr[i]
-		dist := srcPos.Dist(nb.dst.mover.Position(now))
-		if dist > c.cutoff {
-			continue
+	src.nbr = src.nbr[:0]
+	sh := c.shard
+	g.neighborhoodCells(srcPos, func(id NodeID, cellX int32) {
+		if id == src.id {
+			return
 		}
-		if nb.ls == nil {
-			nb.ls = c.link(src.id, nb.dst.id)
+		nb := nbrEntry{dst: c.nodes[id]}
+		if sh != nil {
+			nb.ls = c.link(src.id, id)
+			nb.owner = uint8(laneOf(cellX, len(sh.lanes)))
 		}
-		if dist > nb.ls.reach {
-			continue
-		}
-		c.deliver(src, nb.dst, nb.ls, dist, payload, now, end)
+		src.nbr = append(src.nbr, nb)
+	})
+	src.nbrOK, src.nbrVer, src.nbrCell = true, g.version, cell
+	return true
+}
+
+// inReach reports whether an indexed candidate at dist lies within both
+// the channel cutoff and its link's advertised reach, resolving the link
+// on the first in-cutoff contact.
+func (c *Channel) inReach(src *node, nb *nbrEntry, dist float64) bool {
+	if dist > c.cutoff {
+		return false
 	}
+	if nb.ls == nil {
+		nb.ls = c.link(src.id, nb.dst.id)
+	}
+	return dist <= nb.ls.reach
 }
 
 // Indexed reports whether the channel is running the spatially indexed
@@ -739,23 +679,29 @@ func (c *Channel) ensureGrid(now time.Duration) *grid {
 	return g
 }
 
-// deliver decides and schedules the reception of one frame at one node.
-func (c *Channel) deliver(src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) {
+// decide is the delivery decision for one frame at one receiver, shared
+// by every path: the mute and half-duplex gates, the RSSI noise draw,
+// collision/capture against the receiver's locking reception, and the
+// loss coin flip. It counts into st and takes and recycles reception
+// records on *free — the channel's own on the serial paths, a lane's on
+// the sharded path — and writes no other state but the link's streams
+// and the receiver's. It returns the reception whose delivery event must
+// be scheduled (see schedule), or nil when nothing is delivered.
+func (c *Channel) decide(st *Stats, free **reception, src, dst *node, ls *linkState, dist float64, now, end time.Duration) *reception {
 	if dst.down {
-		// Muted receiver (single gate for both the dense and the indexed
-		// path): skipped before any draw, so only this directed pair's
-		// private streams advance less — a guaranteed loss, same argument
-		// as the indexed path's out-of-range skip.
-		return
+		// Muted receiver: skipped before any draw, so only this directed
+		// pair's private streams advance less — a guaranteed loss, same
+		// argument as the indexed path's out-of-range skip.
+		return nil
 	}
 	pr := ls.model.ReceiveProb(now, dist)
 
 	// Half duplex: a transmitting receiver hears nothing.
 	if dst.txUntil > now {
 		if pr > 0 {
-			c.stats.HalfDuplex++
+			st.HalfDuplex++
 		}
-		return
+		return nil
 	}
 
 	rssi := c.P.rssi(dist, ls.noise.NormFloat64()*c.P.RSSINoiseDB)
@@ -771,37 +717,54 @@ func (c *Channel) deliver(src, dst *node, ls *linkState, dist float64, payload [
 			// New frame captures the receiver; the old one is lost.
 			if prev.ok {
 				prev.ok = false
-				c.stats.Collisions++
+				st.Collisions++
 			}
 		case prev.rssi >= rssi+c.P.CaptureDB:
 			// Existing frame survives; the new one is lost.
-			c.stats.Collisions++
-			return
+			st.Collisions++
+			return nil
 		default:
 			// Mutual destruction.
 			if prev.ok {
 				prev.ok = false
-				c.stats.Collisions++
+				st.Collisions++
 			}
-			c.stats.Collisions++
-			return
+			st.Collisions++
+			return nil
 		}
 	}
 
 	// Channel loss?
 	ok := ls.loss.Float64() < pr
-	rx := c.allocReception()
-	rx.ch, rx.dst = c, dst
-	rx.from, rx.rssi, rx.end, rx.ok = src.id, rssi, end, ok
-	c.setCur(dst, rx)
-	if !ok {
-		c.stats.ChannelLosses++
-		return
+	rx := *free
+	if rx != nil {
+		*free = rx.next
+		rx.next = nil
+	} else {
+		rx = &reception{ch: c}
 	}
-	buf := c.bufs.Get(len(payload))
-	copy(buf, payload)
-	rx.buf = buf
+	rx.dst = dst
+	rx.from, rx.rssi, rx.end, rx.ok = src.id, rssi, end, ok
+	// The new record locks the receiver. A displaced record no delivery
+	// event owns (a lost frame that completed) is recycled here;
+	// scheduled records free themselves when they fire.
+	if prev := dst.cur; prev != nil && !prev.scheduled {
+		recycle(free, prev)
+	}
+	dst.cur = rx
+	if !ok {
+		st.ChannelLosses++
+		return nil
+	}
 	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
+	return rx
+}
+
+// schedule copies the payload of a decided reception into a pooled
+// buffer and arms its delivery event at the frame's end.
+func (c *Channel) schedule(rx *reception, payload []byte) {
+	rx.buf = c.bufs.Get(len(payload))
+	copy(rx.buf, payload)
 	rx.scheduled = true
-	c.K.AtHandler(end, rx)
+	c.K.AtHandler(rx.end, rx)
 }

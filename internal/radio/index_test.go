@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -291,85 +292,108 @@ func TestSetCurRecyclesDisplacedRecord(t *testing.T) {
 	}
 }
 
-// TestAttachRowsPreSized pins the capacity-hint satellite: with the
-// final node count known up front, no dense link row is ever re-grown by
-// a later attach.
-func TestAttachRowsPreSized(t *testing.T) {
-	k := sim.NewKernel(10)
-	const n = 40
-	c := NewChannelSized(k, DefaultParams(), nil, n)
-	for i := 0; i < n; i++ {
-		c.Attach("n", mobility.Fixed{X: float64(i) * 10}, nil)
-	}
-	for i, row := range c.links {
-		if cap(row) != n {
-			t.Fatalf("row %d capacity = %d, want the hint %d", i, cap(row), n)
-		}
-		if len(row) != n {
-			t.Fatalf("row %d length = %d, want %d", i, len(row), n)
-		}
-	}
-}
-
-// TestSizedChannelStartsLazy pins the other half of the hint: a capacity
-// at or above the index threshold starts the channel in lazy per-pair
-// mode, so a city-scale attach sequence never builds the O(N²) table.
-func TestSizedChannelStartsLazy(t *testing.T) {
+// TestLinksCreatedOnFirstContact pins the single link table: attaching
+// radios builds no link, and a broadcast creates exactly the directed
+// pairs it contacts.
+func TestLinksCreatedOnFirstContact(t *testing.T) {
 	k := sim.NewKernel(11)
-	p := DefaultParams()
-	p.IndexThresholdNodes = 16
-	c := NewChannelSized(k, p, nil, 64)
+	c := NewChannel(k, DefaultParams(), nil)
 	for i := 0; i < 8; i++ {
 		c.Attach("n", mobility.Fixed{X: float64(i) * 10}, nil)
 	}
-	if c.lazy == nil || c.links != nil {
-		t.Fatal("sized channel did not start in lazy link mode")
+	if c.Indexed() {
+		t.Fatal("8 radios engaged the indexed path; the test wants the full sweep")
 	}
-	if len(c.lazy) != 0 {
-		t.Fatalf("lazy table has %d links before any traffic", len(c.lazy))
+	if len(c.links) != 0 {
+		t.Fatalf("link table has %d links before any traffic", len(c.links))
 	}
-	// First contact instantiates exactly the directed pairs used.
 	c.Broadcast(0, make([]byte, 50), nil)
 	k.Run()
-	if len(c.lazy) != 7 {
-		t.Fatalf("lazy table has %d links after one broadcast to 7 peers, want 7", len(c.lazy))
+	if len(c.links) != 7 {
+		t.Fatalf("link table has %d links after one broadcast to 7 peers, want 7", len(c.links))
+	}
+	for to := NodeID(1); to < 8; to++ {
+		if c.links[pairKey(0, to)] == nil {
+			t.Errorf("link (0,%d) missing after the broadcast", to)
+		}
 	}
 }
 
-// TestThresholdCrossingMigratesLazy pins the unhinted path: a channel
-// that grows past the threshold without a capacity hint migrates its
-// dense rows into the lazy table, and the label-derived link streams
-// make the migrated and freshly-instantiated links indistinguishable.
-func TestThresholdCrossingMigratesLazy(t *testing.T) {
-	run := func(hint int) Stats {
-		k := sim.NewKernel(12)
-		p := DefaultParams()
-		p.IndexThresholdNodes = 10
-		var c *Channel
-		if hint > 0 {
-			c = NewChannelSized(k, p, nil, hint)
-		} else {
-			c = NewChannel(k, p, nil)
-		}
-		for i := 0; i < 20; i++ {
-			c.Attach("n", mobility.Fixed{X: float64(i) * 25}, nil)
-		}
-		if c.lazy == nil {
-			t.Fatal("channel past the threshold still has a dense table")
-		}
-		for step := 0; step < 30; step++ {
-			src := NodeID(step % 20)
-			if !c.Transmitting(src) {
-				c.Broadcast(src, make([]byte, 80), nil)
-			}
-			k.RunUntil(k.Now() + 3*time.Millisecond)
-		}
-		k.Run()
-		return c.Stats()
+// TestSweepCacheExtendsOnAttach pins the full sweep's candidate cache: a
+// radio attached after a source's first broadcast joins the source's
+// candidates and receives its next frame.
+func TestSweepCacheExtendsOnAttach(t *testing.T) {
+	k := sim.NewKernel(12)
+	c := perfectChannel(k)
+	var early, late collector
+	src := c.Attach("src", mobility.Fixed{}, nil)
+	c.Attach("early", mobility.Fixed{X: 10}, &early)
+	c.Broadcast(src, []byte("one"), nil)
+	k.Run()
+	c.Attach("late", mobility.Fixed{X: 20}, &late)
+	c.Broadcast(src, []byte("two"), nil)
+	k.Run()
+	if len(early.frames) != 2 {
+		t.Errorf("early radio received %d frames, want 2", len(early.frames))
 	}
-	migrated := run(0) // dense for the first 9 attaches, then migrates
-	hinted := run(20)  // lazy from the first attach
-	if migrated != hinted {
-		t.Errorf("migrated and hinted channels diverged: %+v vs %+v", migrated, hinted)
+	if len(late.frames) != 1 {
+		t.Fatalf("radio attached after the first broadcast received %d frames, want 1", len(late.frames))
+	}
+	if n := len(c.nodes[src].nbr); n != 2 {
+		t.Errorf("source caches %d candidates, want 2", n)
+	}
+}
+
+// TestThresholdCrossingRebuildsSweepCache pins the hand-over between the
+// two paths: a candidate cache built by the full sweep below the index
+// threshold is replaced by a grid walk once the threshold is crossed, so
+// the indexed broadcast neither reaches a radio the grid excludes nor
+// misses one attached at the crossing.
+func TestThresholdCrossingRebuildsSweepCache(t *testing.T) {
+	k := sim.NewKernel(13)
+	p := DefaultParams()
+	p.IndexThresholdNodes = 10
+	p.MaxRangeM = 300 // custom factories index only with an explicit cutoff
+	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
+	got := make(map[NodeID]int)
+	attach := func(x float64) NodeID {
+		var id NodeID
+		id = c.Attach("n", mobility.Fixed{X: x}, ReceiverFunc(func([]byte, RxInfo) { got[id]++ }))
+		return id
+	}
+	for i := 0; i < 8; i++ {
+		attach(float64(i) * 25)
+	}
+	far := attach(5000) // the sweep applies no cutoff; the grid excludes it
+	c.Broadcast(0, make([]byte, 80), nil)
+	k.Run()
+	if c.Indexed() {
+		t.Fatal("9 radios engaged the indexed path; the test wants the full sweep first")
+	}
+	if n := len(c.nodes[0].nbr); n != 8 {
+		t.Fatalf("sweep cache holds %d candidates, want 8", n)
+	}
+	if got[far] != 1 {
+		t.Fatalf("the full sweep delivered %d frames to the far radio, want 1", got[far])
+	}
+
+	late := attach(30) // the tenth radio crosses the threshold
+	if !c.Indexed() {
+		t.Fatal("crossing the threshold did not engage the indexed path")
+	}
+	c.Broadcast(0, make([]byte, 80), nil)
+	k.Run()
+	var cached []NodeID
+	for _, nb := range c.nodes[0].nbr {
+		cached = append(cached, nb.dst.id)
+	}
+	if want := c.NeighborIDs(0, nil); !slices.Equal(cached, want) {
+		t.Fatalf("candidates after the crossing = %v, want the grid walk %v", cached, want)
+	}
+	if slices.Contains(cached, far) {
+		t.Error("the far radio is still a candidate after the crossing")
+	}
+	if got[far] != 1 || got[late] != 1 {
+		t.Errorf("after the crossing far received %d frames (want 1), late %d (want 1)", got[far], got[late])
 	}
 }

@@ -98,6 +98,35 @@ func TestValidateBackplaneRate(t *testing.T) {
 	}
 }
 
+// TestValidateAddressSpace pins the 16-bit wire address limits: radio
+// IDs (basestations then vehicles) must end below the gateway block at
+// 0xFF00, and district gateways (0xFF00+d) below frame.None. The refusal
+// names the offending key; the limits themselves are accepted.
+func TestValidateAddressSpace(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		key  string // "" = valid
+	}{
+		{"grid-metro,bs=70000", "bs+vehicles"},
+		{"metro-districts,bs=65300", "bs+vehicles"},
+		{"grid-metro,bs=65000,vehicles=281", "bs+vehicles"},
+		{"grid-metro,bs=65000,vehicles=280", ""},
+		{"metro-districts,districts=255,bs=255,vehicles=255", "districts"},
+		{"metro-districts,districts=254,bs=254,vehicles=254", ""},
+	} {
+		_, err := Parse(tc.spec)
+		if tc.key == "" {
+			if err != nil {
+				t.Errorf("Parse(%q): %v, want valid", tc.spec, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.key+" = ") {
+			t.Errorf("Parse(%q): err = %v, want a refusal naming %s", tc.spec, err, tc.key)
+		}
+	}
+}
+
 func TestPresetsAllValid(t *testing.T) {
 	for _, name := range Presets() {
 		s, err := Preset(name)

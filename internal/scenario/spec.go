@@ -20,7 +20,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
+	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -332,6 +334,10 @@ func parseMix(val string) ([4]int, error) {
 }
 
 // Validate reports the first configuration error.
+// maxDistricts is the district count whose gateways, one per district at
+// core.GatewayAddr+d, fill the addresses below frame.None.
+const maxDistricts = int(frame.None - core.GatewayAddr)
+
 func (s Spec) Validate() error {
 	// NaN slips past every ordered comparison below and ±Inf past the
 	// sign checks, so non-finite values are refused first, by key.
@@ -368,6 +374,14 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: stagger must be ≥ 0")
 	case s.Districts < 0:
 		return fmt.Errorf("scenario: districts = %d, need ≥ 0", s.Districts)
+	case s.BS+s.Vehicles > int(core.GatewayAddr):
+		// Radio IDs become 16-bit MAC addresses; above this they would
+		// alias gateway, None/Broadcast or wrapped addresses.
+		return fmt.Errorf("scenario: bs+vehicles = %d, need ≤ %d (radio addresses end below the gateways at %#x)",
+			s.BS+s.Vehicles, core.GatewayAddr, core.GatewayAddr)
+	case s.Districts > maxDistricts:
+		return fmt.Errorf("scenario: districts = %d, need ≤ %d (gateway addresses %#x+d end below %#x)",
+			s.Districts, maxDistricts, core.GatewayAddr, frame.None)
 	case s.Districts >= 2 && s.Topology != Grid:
 		return fmt.Errorf("scenario: districts need grid topology, have %s", s.Topology)
 	case s.Districts >= 2 && s.BS < s.Districts:
